@@ -11,7 +11,6 @@ class CalibrationProbe extends SparkSpec {
 
   test("probe: per-query VUG profile") {
     assume(sys.env.get("REPRO_PROBE").contains("1"), "probe disabled")
-    Eev.debug = true
     BenchUtil.datasets.foreach { spec =>
       val g  = BenchData.graph(spec)
       val qs = BenchData.queries(spec, BenchUtil.nQueries)

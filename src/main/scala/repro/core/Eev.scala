@@ -2,6 +2,12 @@ package repro.core
 
 import scala.collection.mutable
 
+/** Counters from the most recent [[Eev.apply]] run (single-threaded; for diagnostics
+  * and the bench suites' visibility into where verification effort goes).
+  */
+final case class EevStats(gtEdges: Int, preVerified: Int, treeWitnessHits: Int,
+                          dfsSearches: Int, escalations: Int, negatives: Int)
+
 /** Escaped Edges Verification (paper Algorithms 6 & 7).
   *
   * Generates the exact tspG from the tight upper-bound graph `Gt` without enumerating
@@ -10,55 +16,52 @@ import scala.collection.mutable
   *   1. Pre-verification — every `Gt` edge out of `s` or into `t` is in tspG (Lemma 2),
   *      and every edge `e(u, v, τ)` with an `s→u` edge before `τ` or a `v→t` edge after
   *      `τ` in `Gt` is in tspG (Lemma 10).
-  *   2. For each remaining unverified edge (in non-descending temporal order), a
-  *      bidirectional DFS finds one temporal simple path `s ⇝ t` through it; every edge
-  *      on that path, plus every parallel edge that can replace an interior edge while
-  *      keeping timestamps strictly ascending (Lemma 11), is confirmed in one batch.
-  *   3. Edges whose search fails lie on no temporal simple path and are dropped.
+  *   2. Each remaining edge (in non-descending temporal order) that passes
+  *      `A(u) < τ < D(v)` on `Gt` looks for one temporal simple path `s ⇝ t` through
+  *      it. Every edge on a found path, plus every `Gt` edge that can shortcut it while
+  *      keeping timestamps strictly ascending (Lemma 11, generalized), is confirmed in
+  *      one batch.
+  *   3. Edges without such a path are dropped.
   *
-  * The bidirectional DFS implements both of the paper's optimizations — the
-  * potentially *shorter* half-path is searched first (`τ − τb > τe − τ` ⇒ forward
-  * first) and neighbors are explored in temporal order (out-neighbors non-ascending,
-  * in-neighbors non-descending) — plus three engineering safeguards that preserve
-  * exactness while taming the exponential worst case (Theorem 5) on dense windows:
+  * A witness is looked for in up to three steps:
   *
-  *   - *Reachability gates*: a forward step into `x` at time `τ` is only taken when
-  *     `τ < D(x)` (departures on `Gt`), a backward step from `x` only when `τ > A(x)`
-  *     — necessary conditions for any witness path, so pruning never loses
-  *     completeness.
-  *   - *Cross-conflict abort*: when the second-direction search exhausts without ever
-  *     having been blocked by a vertex owned by the first direction, its failure is
-  *     independent of the first direction's choices, so the whole search can stop
-  *     instead of backtracking through exponentially many first-side variants.
-  *   - *Budgeted escalation*: a search that exceeds a node-expansion budget is re-run
-  *     with per-seed polarity times that additionally avoid the seed's endpoints
-  *     (`A` avoiding `{t, v}`, `D` avoiding `{s, u}`) — these exactly refute the
-  *     common pathological case where e.g. every continuation `v ⇝ t` passes through
-  *     `u`, and tighten the gates for the rest.
+  *   - *Tree witness*: the earliest-arrival parent path `s ⇝ u` and the latest-departure
+  *     parent path `v ⇝ t` are temporal simple paths; if disjoint, they stitch into one.
+  *   - *Stage 1*: Algorithm 7's bidirectional DFS from the seed's endpoints — backward
+  *     `u ⇝ s` gated by `ts > A(x)`, forward `v ⇝ t` gated by `ts < D(x)` — under a
+  *     node-expansion budget.
+  *   - *Stage 2*, only when stage 1 runs out of budget, and unbudgeted: the same DFS
+  *     anchored at `s` and `t` — forward `s ⇝ u` gated by the latest departure towards
+  *     `u` before `τ`, backward `t ⇝ v` gated by the earliest arrival from `v` after
+  *     `τ`. Every branch can still complete its half, and the branching is that around
+  *     `s` and `t` rather than around the (often hub) seed endpoints.
   *
+  * Both stages run one engine, [[WitnessSearch]], which adds two exactness-preserving
+  * prunings to Algorithm 7 (conflict-directed backjumping, Prosser 1993):
+  *
+  *   - *Cross-conflict abort*: when the second half exhausts without ever being blocked
+  *     by a vertex of the first half, its failure does not depend on the first half's
+  *     choices, so the whole search stops.
+  *   - *Conflict cache*: otherwise the first-half vertices it was blocked on are cached;
+  *     while the first half still owns a cached set, the second half is skipped.
+  *
+  * The half over the longer time span runs first (on a tie, the forward half): it has
+  * many completions, and the shorter, terminal half is cheap to retry and caches well.
   * Searching inside `Gt` is complete because every temporal simple path `s ⇝ t` lies
   * entirely within `tspG ⊆ Gt`.
   */
-/** Counters from the most recent [[Eev.apply]] run (single-threaded; for diagnostics
-  * and the bench suites' visibility into where verification effort goes).
-  */
-final case class EevStats(gtEdges: Int, preVerified: Int, treeWitnessHits: Int,
-                          dfsSearches: Int, escalations: Int, negatives: Int)
-
 object Eev {
 
-  /** Stage-1 node-expansion budget before escalating to per-seed gates.
-    * Package-visible so tests can force the escalation path on small graphs.
-    */
-  private[core] var searchBudget: Long = 10000L
+  /** Stage-1 node-expansion budget before a seed escalates to stage 2. */
+  private val SearchBudget: Long = 10000L
 
   /** Stats of the most recent run (not thread-safe; diagnostics only). */
   @volatile var lastStats: EevStats = EevStats(0, 0, 0, 0, 0, 0)
 
-  /** When true, slow escalated searches are reported on stderr (diagnostics only). */
-  @volatile var debug: Boolean = false
+  def apply(gt: TemporalGraph, q: TspgQuery): Subgraph = apply(gt, q, SearchBudget)
 
-  def apply(gt: TemporalGraph, q: TspgQuery): Subgraph = {
+  /** [[apply]] with an explicit stage-1 budget (tests force escalation with 1). */
+  private[core] def apply(gt: TemporalGraph, q: TspgQuery, budget: Long): Subgraph = {
     val verified = mutable.HashSet.empty[TEdge]
     val vOut     = mutable.Set.empty[Int]
     val eOut     = mutable.Set.empty[TEdge]
@@ -99,15 +102,13 @@ object Eev {
         val feasible =
           (e.src == q.s || arrGt(e.src) < e.ts) && (e.dst == q.t || depGt(e.dst) > e.ts)
         if (!feasible) negatives += 1
-        else treeWitness(gt, q, e, arrPar, depPar)
-          .orElse { randomWitness(gt, q, e, arrGt, depGt) }
-          match {
+        else treeWitness(q, e, arrPar, depPar) match {
           case Some(path) =>
             treeHits += 1
             confirmBatch(gt, q, path, confirm)
           case None =>
             searches += 1
-            val (res, escalated) = searchWithEscalation(gt, q, e, arrGt, depGt)
+            val (res, escalated) = search(gt, q, e, arrGt, depGt, budget)
             if (escalated) escalations += 1
             res match {
               case Some(path) => confirmBatch(gt, q, path, confirm)
@@ -163,7 +164,7 @@ object Eev {
     * they are vertex-disjoint (and avoid the opposite seed endpoint) the concatenation
     * is a witness — no search needed. Conflicting tree paths return None.
     */
-  private def treeWitness(gt: TemporalGraph, q: TspgQuery, e: TEdge,
+  private def treeWitness(q: TspgQuery, e: TEdge,
                           arrPar: Array[TEdge], depPar: Array[TEdge]): Option[IndexedSeq[TEdge]] = {
     val used = mutable.Set(e.src, e.dst)
     val back = mutable.ArrayBuffer.empty[TEdge]
@@ -187,378 +188,122 @@ object Eev {
     Some((back.reverseIterator ++ Iterator.single(e) ++ fwd.iterator).toIndexedSeq)
   }
 
-  /** Randomized greedy witness construction — a cheap middle stage between the tree
-    * witness and the full bidirectional DFS. Performs a bounded number of gated random
-    * walks: backward from `seed.src` towards `s` (each step a uniformly probed
-    * in-edge with `ts` strictly below the current time, above `A(src)`, and into an
-    * unused vertex), then forward from `seed.dst` towards `t` symmetrically, sharing
-    * the used-vertex set. In dense positive windows a random walk completes with high
-    * probability while deterministic orders keep colliding on the same hubs; on
-    * failure the exact DFS still runs, so this never affects the result — only the
-    * constant factors. Deterministic per seed edge.
-    */
-  private def randomWitness(gt: TemporalGraph, q: TspgQuery, seed: TEdge,
-                            arr: Array[Int], dep: Array[Int]): Option[IndexedSeq[TEdge]] = {
-    val rng = new java.util.Random(seed.src * 1000003L ^ seed.dst * 7919L ^ seed.ts.toLong)
-    val MaxTries = 16
-    val ProbesPerStep = 12
-    var attempt = 0
-    while (attempt < MaxTries) {
-      attempt += 1
-      val used = mutable.Set(seed.src, seed.dst)
-      val back = mutable.ArrayBuffer.empty[TEdge]
-      var cur   = seed.src
-      var curTs = seed.ts
-      var dead  = false
-      while (!dead && cur != q.s && back.length < q.theta) {
-        val in = gt.inEdges(cur) // ts-ascending
-        // Feasible candidates sit in the prefix with ts < curTs; probe random slots.
-        var hi = in.length
-        while (hi > 0 && in(hi - 1).ts >= curTs) hi -= 1
-        // Among the probed feasible candidates, prefer the lowest-degree vertex:
-        // hubs are the contested resource between the two half-paths, so spending
-        // them here is what makes the opposite walk fail.
-        var pick: TEdge = null
-        var pickDeg = Int.MaxValue
-        if (hi > 0) {
-          var p = 0
-          val start = rng.nextInt(hi)
-          while (p < math.min(ProbesPerStep, hi)) {
-            val e2 = in((start + p) % hi)
-            if (e2.src == q.s) { pick = e2; pickDeg = -1; p = ProbesPerStep }
-            else if (e2.src != q.t && e2.ts > arr(e2.src) && !used.contains(e2.src)) {
-              val deg = gt.inEdges(e2.src).length + gt.outEdges(e2.src).length
-              if (deg < pickDeg) { pick = e2; pickDeg = deg }
-            }
-            p += 1
-          }
-        }
-        if (pick == null) dead = true
-        else {
-          back += pick
-          used += pick.src
-          cur = pick.src
-          curTs = pick.ts
-        }
-      }
-      if (!dead && cur == q.s) {
-        val fwd = mutable.ArrayBuffer.empty[TEdge]
-        cur = seed.dst
-        curTs = seed.ts
-        while (!dead && cur != q.t && fwd.length < q.theta) {
-          val out = gt.outEdges(cur)
-          var lo = 0
-          while (lo < out.length && out(lo).ts <= curTs) lo += 1
-          val width = out.length - lo
-          var pick: TEdge = null
-          var pickDeg = Int.MaxValue
-          if (width > 0) {
-            var p = 0
-            val start = rng.nextInt(width)
-            while (p < math.min(ProbesPerStep, width)) {
-              val e2 = out(lo + (start + p) % width)
-              if (e2.dst == q.t) { pick = e2; pickDeg = -1; p = ProbesPerStep }
-              else if (e2.dst != q.s && e2.ts < dep(e2.dst) && !used.contains(e2.dst)) {
-                val deg = gt.inEdges(e2.dst).length + gt.outEdges(e2.dst).length
-                if (deg < pickDeg) { pick = e2; pickDeg = deg }
-              }
-              p += 1
-            }
-          }
-          if (pick == null) dead = true
-          else {
-            fwd += pick
-            used += pick.dst
-            cur = pick.dst
-            curTs = pick.ts
-          }
-        }
-        if (!dead && cur == q.t)
-          return Some((back.reverseIterator ++ Iterator.single(seed) ++ fwd.iterator).toIndexedSeq)
-      }
-    }
-    None
-  }
-
-  /** Optimized bidirectional DFS (paper Algorithm 7). Returns one temporal simple path
-    * `s ⇝ t` through `seed`, as its full edge sequence, or None.
+  /** Bidirectional DFS (paper Algorithm 7) with escalation. Returns one temporal simple
+    * path `s ⇝ t` through `seed`, as its full edge sequence, or None.
     */
   def biDirSearch(gt: TemporalGraph, q: TspgQuery, seed: TEdge): Option[IndexedSeq[TEdge]] =
-    searchWithEscalation(gt, q, seed,
-      PolarityTime.arrivals(gt, q), PolarityTime.departures(gt, q))._1
+    search(gt, q, seed, PolarityTime.arrivals(gt, q), PolarityTime.departures(gt, q),
+      SearchBudget)._1
 
-  /** Returns `(result, escalatedToStage2)`. */
-  private def searchWithEscalation(gt: TemporalGraph, q: TspgQuery, seed: TEdge,
-                                   arrGt: Array[Int], depGt: Array[Int]): (Option[IndexedSeq[TEdge]], Boolean) = {
-    val first = new BiDirSearch(gt, q, seed, arrGt, depGt, searchBudget)
-    val r     = first.run()
-    if (r != null) (Some(r), false)
-    else if (!first.budgetExhausted) (None, false) // exhaustive failure: not in tspG
-    else {
-      // Escalate: polarity times that also avoid the seed endpoints. The witness
-      // path's prefix cannot contain v (= seed.dst) and its suffix cannot contain u,
-      // so these remain sound gates — and they refute outright the searches whose
-      // half-side is only reachable through the opposite seed endpoint.
-      val (arrAvoid, arrAvoidPar) =
-        PolarityTime.earliestArrivalsWithParents(gt, q.s, q.tauB, q.tauE, q.t, seed.dst)
-      val (depAvoid, depAvoidPar) =
-        PolarityTime.latestDeparturesWithParents(gt, q.t, q.tauB, q.tauE, q.s, seed.src)
-      val backOk = seed.src == q.s || arrAvoid(seed.src) < seed.ts
-      val fwdOk  = seed.dst == q.t || depAvoid(seed.dst) > seed.ts
-      if (!backOk || !fwdOk) (None, true)
-      else {
-        // Cheap retries under the tighter per-seed gates before the unbounded DFS:
-        // the avoidance trees often stitch where the global ones collided.
-        val quick = treeWitness(gt, q, seed, arrAvoidPar, depAvoidPar)
-          .orElse(randomWitness(gt, q, seed, arrAvoid, depAvoid))
-        if (quick.isDefined) (quick, true)
-        else {
-          // Stage 3: goal-directed anchored search. The budgeted seed-anchored DFS
-          // explores the (often hub-sized) neighborhoods of the seed endpoints; the
-          // anchored variant searches each half from s / t instead, gated by per-seed
-          // reachability-to-seed times, so every explored branch can still complete
-          // its half — the branching collapses to the (typically small) degrees
-          // around s and t.
-          val t0  = System.nanoTime()
-          val res = Option(new AnchoredSearch(gt, q, seed).run())
-          if (debug && System.nanoTime() - t0 > 100000000L)
-            Console.err.println(f"[eev] slow stage-3 ${(System.nanoTime() - t0) / 1e6}%.0f ms " +
-              s"seed=$seed found=${res.isDefined}")
-          (res, true)
-        }
-      }
-    }
+  /** Stage 1 under `budget`, then stage 2 if it ran out: `(witness, escalated)`. */
+  private def search(gt: TemporalGraph, q: TspgQuery, seed: TEdge, arrGt: Array[Int],
+                     depGt: Array[Int], budget: Long): (Option[IndexedSeq[TEdge]], Boolean) = {
+    val first = seedAnchored(gt, q, seed, arrGt, depGt, budget)
+    val found = first.run()
+    if (found.isDefined || !first.exhausted) (found, false)
+    else (endAnchored(gt, q, seed).run(), true)
   }
 
-  /** Goal-directed bidirectional search anchored at `s` and `t` (stage 3).
-    *
-    * The prefix half `s ⇝ u` is searched as a forward DFS *from s*, gated by
-    * `ts < D_u(x)` where `D_u` is the latest departure towards `u` within
-    * `[τb, τ−1]` avoiding `{t, v}`; the suffix half `v ⇝ t` is searched as a
-    * backward DFS *from t*, gated by `ts > A_v(x)` where `A_v` is the earliest
-    * arrival from `v` within `[τ+1, τe]` avoiding `{s, u}`. Every explored branch can
-    * therefore still complete its half — the search only backtracks on vertex
-    * conflicts — and the branching factor is that of the neighborhoods around `s`
-    * and `t` rather than around the (hub-heavy) seed endpoints. The same
-    * cross-conflict abort and conflict-cache machinery as [[BiDirSearch]] applies.
+  /** Stage 1: halves start at the seed's endpoints and are gated by `A`/`D` on `Gt`
+    * (`A(s) = τb − 1` and `D(t) = τe + 1` admit the goals; `A(t)` and `D(s)` exclude
+    * the opposite anchor).
     */
-  private final class AnchoredSearch(gt: TemporalGraph, q: TspgQuery, seed: TEdge) {
+  private[core] def seedAnchored(gt: TemporalGraph, q: TspgQuery, seed: TEdge,
+                                 arrGt: Array[Int], depGt: Array[Int],
+                                 budget: Long): WitnessSearch =
+    new WitnessSearch(gt, q, seed, budget,
+      pre = new Half(forward = false, seed.src, seed.ts, q.s, arrGt),
+      suf = new Half(forward = true, seed.dst, seed.ts, q.t, depGt))
 
-    private val depToU =
-      PolarityTime.latestDepartures(gt, seed.src, q.tauB, seed.ts - 1, q.t, seed.dst)
-    private val arrFromV =
-      PolarityTime.earliestArrivals(gt, seed.dst, seed.ts + 1, q.tauE, q.s, seed.src)
-
-    private val prefOwn = mutable.BitSet.empty // interior vertices of the s ⇝ u half
-    private val sufOwn  = mutable.BitSet.empty // interior vertices of the v ⇝ t half
-    private val pref    = mutable.ArrayBuffer.empty[TEdge] // s ⇝ u, in order
-    private val suf     = mutable.ArrayBuffer.empty[TEdge] // v ⇝ t, reversed
-    private var abort   = false
-    private var crossSet = mutable.BitSet.empty
-    private val conflictCache = mutable.ArrayBuffer.empty[mutable.BitSet]
-
-    private def taken(w: Int): Boolean =
-      w == q.s || w == q.t || w == seed.src || w == seed.dst ||
-        prefOwn.contains(w) || sufOwn.contains(w)
-
-    /** Forward DFS from `cur` towards `seed.src` (the prefix half). */
-    private def prefixSearch(cur: Int, curTs: Int, terminal: Boolean,
-                             cont: () => Boolean): Boolean = {
-      val out = gt.outEdges(cur) // ascending; explore non-ascending like Algorithm 7
-      var i   = out.length - 1
-      while (i >= 0 && !abort) {
-        val e = out(i)
-        if (e.ts <= curTs) i = -1
-        else {
-          if (e.dst == seed.src) {
-            if (e.ts < seed.ts) { // arrive at u strictly before the seed departs
-              pref += e
-              if (cont()) return true
-              pref.remove(pref.length - 1)
-            }
-          } else if (e.ts < depToU(e.dst)) {
-            if (taken(e.dst)) {
-              if (terminal && sufOwn.contains(e.dst)) crossSet += e.dst
-            } else {
-              prefOwn += e.dst
-              pref += e
-              if (prefixSearch(e.dst, e.ts, terminal, cont)) return true
-              prefOwn -= e.dst
-              pref.remove(pref.length - 1)
-            }
-          }
-          i -= 1
-        }
-      }
-      false
-    }
-
-    /** Backward DFS from `cur` towards `seed.dst` (the suffix half). */
-    private def suffixSearch(cur: Int, curTs: Int, terminal: Boolean,
-                             cont: () => Boolean): Boolean = {
-      val in = gt.inEdges(cur) // ascending: non-descending exploration
-      var i  = 0
-      while (i < in.length && !abort) {
-        val e = in(i)
-        if (e.ts >= curTs) i = in.length
-        else {
-          if (e.src == seed.dst) {
-            if (e.ts > seed.ts) { // depart v strictly after the seed arrives
-              suf += e
-              if (cont()) return true
-              suf.remove(suf.length - 1)
-            }
-          } else if (e.ts > arrFromV(e.src)) {
-            if (taken(e.src)) {
-              if (terminal && prefOwn.contains(e.src)) crossSet += e.src
-            } else {
-              sufOwn += e.src
-              suf += e
-              if (suffixSearch(e.src, e.ts, terminal, cont)) return true
-              sufOwn -= e.src
-              suf.remove(suf.length - 1)
-            }
-          }
-          i += 1
-        }
-      }
-      false
-    }
-
-    private def terminalRun(firstSideOwn: mutable.BitSet, body: => Boolean): Boolean = {
-      if (conflictCache.exists(_.subsetOf(firstSideOwn))) return false
-      crossSet = mutable.BitSet.empty
-      val ok = body
-      if (!ok && !abort) {
-        if (crossSet.isEmpty) abort = true
-        else if (conflictCache.size < 32) conflictCache += crossSet
-      }
-      ok
-    }
-
-    def run(): IndexedSeq[TEdge] = {
-      // Degenerate halves: a seed endpoint that *is* the anchor needs no search.
-      val needPref = seed.src != q.s
-      val needSuf  = seed.dst != q.t
-      def prefRun(terminal: Boolean, cont: () => Boolean): Boolean =
-        if (!needPref) cont()
-        else prefixSearch(q.s, q.tauB - 1, terminal, cont)
-      def sufRun(terminal: Boolean, cont: () => Boolean): Boolean =
-        if (!needSuf) cont()
-        else suffixSearch(q.t, q.tauE + 1, terminal, cont)
-      // Larger-window half first (many completions), smaller half terminal (cheap,
-      // cache-friendly retries) — the measured optimum under conflict caching.
-      val prefFirst = seed.ts - q.tauB >= q.tauE - seed.ts
-      val found =
-        if (prefFirst) prefRun(terminal = false, () => terminalRun(prefOwn, sufRun(terminal = true, () => true)))
-        else sufRun(terminal = false, () => terminalRun(sufOwn, prefRun(terminal = true, () => true)))
-      if (!found) null
-      else (pref.iterator ++ Iterator.single(seed) ++ suf.reverseIterator).toIndexedSeq
-    }
+  /** Stage 2: halves start at `s` and `t`, gated by per-seed reachability-to-seed
+    * times. Their goal entries, `depToU(u) = τ` and `arrFromV(v) = τ`, encode the
+    * seed-time condition; avoiding `{t, v}` and `{s, u}` keeps the halves simple.
+    */
+  private[core] def endAnchored(gt: TemporalGraph, q: TspgQuery, seed: TEdge): WitnessSearch = {
+    val depToU = PolarityTime.latestDepartures(gt, seed.src, q.tauB, seed.ts - 1, q.t, seed.dst)
+    val arrFromV = PolarityTime.earliestArrivals(gt, seed.dst, seed.ts + 1, q.tauE, q.s, seed.src)
+    new WitnessSearch(gt, q, seed, Long.MaxValue,
+      pre = new Half(forward = true, q.s, q.tauB - 1, seed.src, depToU),
+      suf = new Half(forward = false, q.t, q.tauE + 1, seed.dst, arrFromV))
   }
 
-  /** One bidirectional search instance (mutable state scoped to a single seed edge). */
-  private final class BiDirSearch(gt: TemporalGraph, q: TspgQuery, seed: TEdge,
-                                  arr: Array[Int], dep: Array[Int], budget: Long) {
+  /** One half of a witness: a DFS from `from` (entered at `fromTs`) to `goal`, along
+    * out-edges in non-ascending ts order (`forward`) or in-edges in non-descending
+    * order. An edge into `x` is taken only if `ts < gate(x)` (forward) or
+    * `ts > gate(x)` (backward); the goal is reached through the same gate.
+    */
+  private[core] final class Half(val forward: Boolean, val from: Int, val fromTs: Int,
+                                 val goal: Int, gate: Array[Int]) {
+    val own  = mutable.BitSet.empty             // interior vertices of this half
+    val path = mutable.ArrayBuffer.empty[TEdge] // edges in search order, from `from`
 
-    private val fwdOwn = mutable.BitSet.empty // vertices possessed by the forward path
-    private val bwdOwn = mutable.BitSet.empty
-    private val fwd    = mutable.ArrayBuffer.empty[TEdge] // path seed.dst ⇝ t, in order
-    private val bwd    = mutable.ArrayBuffer.empty[TEdge] // path s ⇝ seed.src, reversed
-    private var steps  = 0L
-    private var abort  = false // cross-conflict abort or budget exhaustion
-    /** First-side vertices the current terminal run was blocked on. */
+    def admits(x: Int, ts: Int): Boolean = if (forward) ts < gate(x) else ts > gate(x)
+    def span: Long = math.abs(gate(goal).toLong - fromTs)
+    def inOrder: Iterator[TEdge] = if (forward) path.iterator else path.reverseIterator
+  }
+
+  /** Witness search for one seed edge: the prefix half `pre` (`s ⇝ u`, in either
+    * direction) and the suffix half `suf` (`v ⇝ t`) share the taken vertices, the step
+    * budget, the cross-conflict abort and the conflict cache.
+    */
+  private[core] final class WitnessSearch(gt: TemporalGraph, q: TspgQuery, seed: TEdge,
+                                          budget: Long, pre: Half, suf: Half) {
+    private var steps = 0L
+    private var abort = false // cross-conflict abort or budget exhaustion
+    /** First-half vertices the current terminal run was blocked on. */
     private var crossSet = mutable.BitSet.empty
-    /** Conflict cache: past terminal failures, each represented by the first-side
-      * vertex set it was blocked on. The terminal outcome is fully determined by
-      * which first-side vertices its exploration hits, and blocking *more* vertices
-      * only shrinks its search tree — so if a cached conflict set is still wholly
-      * owned by the first side, re-running the terminal search is guaranteed to fail
-      * and is skipped (conflict-directed pruning; preserves exactness).
+    /** Past terminal failures, each as the first-half vertex set it was blocked on.
+      * Blocking *more* vertices only shrinks the terminal search tree, so while a
+      * cached set is still wholly owned by the first half the terminal run must fail.
       */
     private val conflictCache = mutable.ArrayBuffer.empty[mutable.BitSet]
-    var budgetExhausted = false
+    var exhausted = false
 
-    private def taken(w: Int): Boolean =
-      w == seed.src || w == seed.dst || fwdOwn.contains(w) || bwdOwn.contains(w)
+    private def taken(x: Int): Boolean =
+      x == seed.src || x == seed.dst || x == pre.from || x == suf.from ||
+        pre.own.contains(x) || suf.own.contains(x)
 
-    private def step(): Unit = {
-      steps += 1
-      if (steps > budget) { budgetExhausted = true; abort = true }
-    }
-
-    /** Forward search from `cur` (last edge time `curTs`) towards `t`.
-      * `terminal`: this is the second direction — on exhaustion without a conflict
-      * against the backward side, trigger the global abort.
+    /** DFS of half `h` from `cur` (entered at `curTs`); `cont` continues once `h`
+      * reaches its goal. `terminal`: `h` is the second half, so its blocks on the other
+      * half's vertices are recorded in `crossSet`.
       */
-    private def forward(cur: Int, curTs: Int, terminal: Boolean,
-                        cont: () => Boolean): Boolean = {
-      if (cur == q.t) return cont()
-      val out = gt.outEdges(cur) // ascending; iterate descending (non-ascending order)
-      var i   = out.length - 1
-      while (i >= 0 && !abort) {
-        val e = out(i)
-        if (e.ts <= curTs) i = -1 // descending scan: all remaining are ≤ too
-        else {
-          step()
-          // s can never be interior to a simple s→t path; the ts < D(dst) gate
-          // (with D(t) = τe + 1) prunes branches that cannot reach t.
-          if (e.dst != q.s && e.ts < dep(e.dst)) {
-            if (taken(e.dst)) {
-              if (terminal && bwdOwn.contains(e.dst)) crossSet += e.dst
-            } else {
-              fwdOwn += e.dst
-              fwd += e
-              if (forward(e.dst, e.ts, terminal, cont)) return true
-              fwdOwn -= e.dst
-              fwd.remove(fwd.length - 1)
-            }
+    private def dfs(h: Half, cur: Int, curTs: Int, terminal: Boolean,
+                    cont: () => Boolean): Boolean = {
+      if (cur == h.goal) return cont()
+      val other = if (h eq pre) suf else pre
+      val adj   = if (h.forward) gt.outEdges(cur) else gt.inEdges(cur) // ascending ts
+      var i     = if (h.forward) adj.length - 1 else 0
+      while (i >= 0 && i < adj.length && !abort) {
+        val e = adj(i)
+        if (if (h.forward) e.ts <= curTs else e.ts >= curTs) return false
+        steps += 1
+        if (steps > budget) { exhausted = true; abort = true }
+        val x = if (h.forward) e.dst else e.src
+        if (h.admits(x, e.ts)) {
+          if (x == h.goal) {
+            h.path += e
+            if (cont()) return true
+            h.path.remove(h.path.length - 1)
+          } else if (taken(x)) {
+            if (terminal && other.own.contains(x)) crossSet += x
+          } else {
+            h.own += x
+            h.path += e
+            if (dfs(h, x, e.ts, terminal, cont)) return true
+            h.own -= x
+            h.path.remove(h.path.length - 1)
           }
-          i -= 1
         }
+        i += (if (h.forward) -1 else 1)
       }
       false
     }
 
-    private def backward(cur: Int, curTs: Int, terminal: Boolean,
-                         cont: () => Boolean): Boolean = {
-      if (cur == q.s) return cont()
-      val in = gt.inEdges(cur) // ascending (non-descending order)
-      var i  = 0
-      while (i < in.length && !abort) {
-        val e = in(i)
-        if (e.ts >= curTs) i = in.length
-        else {
-          step()
-          // Mirror gate: ts > A(src) (with A(s) = τb − 1) prunes unreachable branches.
-          if (e.src != q.t && e.ts > arr(e.src)) {
-            if (taken(e.src)) {
-              if (terminal && fwdOwn.contains(e.src)) crossSet += e.src
-            } else {
-              bwdOwn += e.src
-              bwd += e
-              if (backward(e.src, e.ts, terminal, cont)) return true
-              bwdOwn -= e.src
-              bwd.remove(bwd.length - 1)
-            }
-          }
-          i += 1
-        }
-      }
-      false
-    }
-
-    /** Wrap a terminal-direction invocation.
-      *
-      * - Conflict-cache skip: if a past failure's conflict set is still wholly owned
-      *   by the first side, this run is guaranteed to fail — skip it.
-      * - Cross-conflict abort: if the run exhausts without ever having been blocked
-      *   by a first-direction vertex, its failure is independent of the first
-      *   direction's choices — retrying other first-side variants is pointless, so
-      *   the whole search aborts.
+    /** Wrap the terminal half: skip it when a cached conflict set is still owned by the
+      * first half; abort everything when it fails without touching the first half.
       */
-    private def terminalRun(firstSideOwn: mutable.BitSet, body: => Boolean): Boolean = {
-      if (conflictCache.exists(_.subsetOf(firstSideOwn))) return false
+    private def terminalRun(firstOwn: mutable.BitSet, body: => Boolean): Boolean = {
+      if (conflictCache.exists(_.subsetOf(firstOwn))) return false
       crossSet = mutable.BitSet.empty
       val ok = body
       if (!ok && !abort) {
@@ -568,26 +313,16 @@ object Eev {
       ok
     }
 
-    /** Run the search; returns the full path or null. */
-    def run(): IndexedSeq[TEdge] = {
-      // Search-direction prioritization. The paper (§V, optimization i) runs the
-      // potentially shorter side first; with the cross-conflict abort and conflict
-      // cache in place the measured optimum inverts: the *longer* side goes first
-      // (dense windows offer it many completions) and the shorter side is the
-      // terminal continuation — its search tree is small, so failed attempts are
-      // cheap and their conflict sets cache well. Total work is
-      // (#first-side completions tried) × (terminal tree size), which this
-      // minimizes.
-      val forwardFirst = q.tauE - seed.ts >= seed.ts - q.tauB
-      val found =
-        if (forwardFirst)
-          forward(seed.dst, seed.ts, terminal = false,
-            () => terminalRun(fwdOwn, backward(seed.src, seed.ts, terminal = true, () => true)))
-        else
-          backward(seed.src, seed.ts, terminal = false,
-            () => terminalRun(bwdOwn, forward(seed.dst, seed.ts, terminal = true, () => true)))
-      if (!found) null
-      else (bwd.reverseIterator ++ Iterator.single(seed) ++ fwd.iterator).toIndexedSeq
+    /** The full witness `s ⇝ u → v ⇝ t`, or None. */
+    def run(): Option[IndexedSeq[TEdge]] = {
+      // A simple s ⇝ t path never re-enters s or leaves t.
+      if (seed.dst == q.s || seed.src == q.t) return None
+      val (fwd, bwd)      = if (pre.forward) (pre, suf) else (suf, pre)
+      val (first, second) = if (fwd.span >= bwd.span) (fwd, bwd) else (bwd, fwd)
+      val found = dfs(first, first.from, first.fromTs, terminal = false,
+        () => terminalRun(first.own,
+          dfs(second, second.from, second.fromTs, terminal = true, () => true)))
+      Option.when(found)((pre.inOrder ++ Iterator.single(seed) ++ suf.inOrder).toIndexedSeq)
     }
   }
 }

@@ -25,6 +25,8 @@ final case class VugResult(
 object Vug {
 
   def run(g: TemporalGraph, q: TspgQuery): VugResult = {
+    require(q.s >= 0 && q.s < g.n, s"source ${q.s} is outside the vertex ids [0, ${g.n})")
+    require(q.t >= 0 && q.t < g.n, s"target ${q.t} is outside the vertex ids [0, ${g.n})")
     val t0 = System.nanoTime()
     val gq = QuickUbg.compute(g, q)
     val t1 = System.nanoTime()

@@ -17,7 +17,7 @@ final case class PaperStats(nV: Long, nE: Long, nT: Long, d: Long, theta: Int)
   * @param nTs       timestamp-domain size |T| target
   * @param theta     default query-interval span (paper TABLE I, last column)
   * @param alpha     Zipf exponent for endpoint skew
-  * @param paper     the original dataset's statistics, for EXPERIMENTS.md
+  * @param paper     the original dataset's statistics (Table I bench output)
   */
 final case class DatasetSpec(id: String, paperId: String, n: Long, mTarget: Long,
                              nTs: Long, theta: Int, alpha: Double, seed: Long,
@@ -29,8 +29,8 @@ final case class DatasetSpec(id: String, paperId: String, n: Long, mTarget: Long
     GraphDF.toCore(generate(spark), n = (n + 1).toInt)
 }
 
-/** The 10 synthetic analogues R1..R10 of the paper's D1..D10, ~1/300 scale with the
-  * same relative shape (n : m : |T|) and the paper's default θ per dataset. R8–R10
+/** The 10 synthetic analogues R1..R10 of the paper's D1..D10: R1–R4 at full vertex
+  * scale, R5–R10 scaled down (1/2 … 1/24), with the paper's |T| and default θ. R8–R10
   * keep the dense-window property (large m·θ/|T|) that made the paper's enumeration
   * baselines hit the 12-hour INF cutoff.
   */

@@ -99,6 +99,22 @@ class EevSpec extends SparkSpec {
     assert(Eev(g, q).edges == TestRef.tspg(g, q).edges)
   }
 
+  test("a terminal half blocked by the first half makes the first half backtrack") {
+    // Seed e(3,4,7), late in the window, so the prefix half runs first. Its first
+    // choice, 0→1→3, takes vertex 1, which the only suffix 4→1→5 needs; its second,
+    // 0→2→3, leaves 1 free. Aborting on the first failure would lose the seed.
+    val g = TemporalGraph(6, Seq(TEdge(0, 1, 3), TEdge(1, 3, 4), TEdge(0, 2, 2),
+      TEdge(2, 3, 5), TEdge(3, 4, 7), TEdge(4, 1, 8), TEdge(1, 5, 9)))
+    val q    = TspgQuery(0, 5, 1, 10)
+    val seed = TEdge(3, 4, 7)
+    val arr  = PolarityTime.arrivals(g, q)
+    val dep  = PolarityTime.departures(g, q)
+    assert(Eev.seedAnchored(g, q, seed, arr, dep, Long.MaxValue).run().isDefined)
+    assert(Eev.endAnchored(g, q, seed).run().isDefined)
+    val gtr = TightUbg.compute(QuickUbg.compute(g, q), q)
+    assert(Eev(gtr, q) == TestRef.tspg(g, q))
+  }
+
   for (seed <- 1 to 25)
     test(s"EEV(Gt) equals the brute-force tspG (random graph seed=$seed)") {
       val g = Fixtures.randomGraph(seed, n = 11, m = 40)
@@ -111,20 +127,15 @@ class EevSpec extends SparkSpec {
       }
     }
 
-  // Force the budget-escalation path (per-seed avoidance gates) on every search and
-  // re-validate exactness, including on denser graphs where cross-conflict aborts and
-  // escalations actually fire.
+  // Force every search that examines an edge to escalate to stage 2 and re-validate
+  // exactness, on denser graphs where cross-conflict aborts and escalations fire.
   for (seed <- 1 to 15)
     test(s"escalated search remains exact (random graph seed=$seed, budget=1)") {
-      val saved = Eev.searchBudget
-      Eev.searchBudget = 1L
-      try {
-        val g = Fixtures.randomGraph(seed * 53L, n = 12, m = 70, maxTs = 8)
-        Fixtures.randomQueries(g, seed + 31, 3, maxTs = 8).foreach { q =>
-          val gtr = TightUbg.compute(QuickUbg.compute(g, q), q)
-          assert(Eev(gtr, q) == TestRef.tspg(g, q), s"mismatch for $q")
-        }
-      } finally Eev.searchBudget = saved
+      val g = Fixtures.randomGraph(seed * 53L, n = 12, m = 70, maxTs = 8)
+      Fixtures.randomQueries(g, seed + 31, 3, maxTs = 8).foreach { q =>
+        val gtr = TightUbg.compute(QuickUbg.compute(g, q), q)
+        assert(Eev(gtr, q, budget = 1L) == TestRef.tspg(g, q), s"mismatch for $q")
+      }
     }
 
   for (seed <- 1 to 10)
@@ -133,6 +144,51 @@ class EevSpec extends SparkSpec {
       Fixtures.randomQueries(g, seed + 47, 2, maxTs = 9).foreach { q =>
         val gtr = TightUbg.compute(QuickUbg.compute(g, q), q)
         assert(Eev(gtr, q) == TestRef.tspg(g, q), s"mismatch for $q")
+      }
+    }
+
+  /** `p` is a strictly ascending, vertex-simple `s ⇝ t` path of `g` through `seed`. */
+  private def assertWitness(p: IndexedSeq[TEdge], g: TemporalGraph, q: TspgQuery,
+                            seed: TEdge): Unit = {
+    assert(p.head.src == q.s && p.last.dst == q.t, s"$p is not an s-t path")
+    assert(p.contains(seed), s"$p misses $seed")
+    assert(p.forall(e => g.contains(e) && e.ts >= q.tauB && e.ts <= q.tauE), s"$p leaves the graph or the window")
+    assert(p.zip(p.tail).forall { case (a, b) => a.dst == b.src && a.ts < b.ts },
+      s"$p is not a strictly ascending walk")
+    val vs = p.head.src +: p.map(_.dst)
+    assert(vs.distinct == vs, s"$p repeats a vertex")
+  }
+
+  // Each anchoring of the witness engine is exact on its own: with no budget, both the
+  // seed-anchored (stage 1) and the s/t-anchored (stage 2) search find a witness for a
+  // Gt edge exactly when the edge is in tspG. The same holds on every window edge of the
+  // whole graph (tspG ⊆ G too), where far more seeds are negative.
+  for (seed <- 1 to 10)
+    test(s"both anchorings of the witness search are exact (random graph seed=$seed)") {
+      // The shapes of the escalation and the dense-graph loops above.
+      val escalation = Fixtures.randomGraph(seed * 53L, n = 12, m = 70, maxTs = 8)
+      val dense      = Fixtures.randomGraph(seed * 101L, n = 14, m = 90, maxTs = 9)
+      val cases =
+        Fixtures.randomQueries(escalation, seed + 31, 3, maxTs = 8).map(escalation -> _) ++
+          Fixtures.randomQueries(dense, seed + 47, 2, maxTs = 9).map(dense -> _)
+      for ((g, q) <- cases) {
+        val gtr = TightUbg.compute(QuickUbg.compute(g, q), q)
+        val ref = TestRef.tspg(g, q).edges
+        for ((host, seeds) <- Seq(gtr -> gtr.edges, g -> g.edges.filter(e =>
+               e.ts >= q.tauB && e.ts <= q.tauE))) {
+          val arr = PolarityTime.arrivals(host, q)
+          val dep = PolarityTime.departures(host, q)
+          seeds.foreach { e =>
+            val searches = Seq(
+              "seed-anchored" -> Eev.seedAnchored(host, q, e, arr, dep, Long.MaxValue),
+              "s/t-anchored"  -> Eev.endAnchored(host, q, e))
+            for ((name, search) <- searches) {
+              val w = search.run()
+              assert(w.isDefined == ref.contains(e), s"$name search on $e for $q")
+              w.foreach(assertWitness(_, host, q, e))
+            }
+          }
+        }
       }
     }
 }

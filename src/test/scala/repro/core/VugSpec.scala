@@ -24,6 +24,13 @@ class VugSpec extends SparkSpec {
     assert(a + VugTimings.zero == a && (a + a) == VugTimings(2, 4, 6))
   }
 
+  test("a source or target outside the vertex ids is rejected with the bad id") {
+    val tooLarge = intercept[IllegalArgumentException](Vug.run(graph, TspgQuery(s, 8, 2, 7)))
+    assert(tooLarge.getMessage.contains("target 8"))
+    val negative = intercept[IllegalArgumentException](Vug.run(graph, TspgQuery(-1, t, 2, 7)))
+    assert(negative.getMessage.contains("source -1"))
+  }
+
   test("unreachable target yields the empty subgraph") {
     assert(Vug.tspg(graph, TspgQuery(a, s, 2, 7)) == Subgraph.empty)
   }
